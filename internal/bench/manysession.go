@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -121,15 +122,35 @@ type ManySessionOptions struct {
 	// giving the resident-memory baseline an interned run is compared
 	// against. Frame streams must be byte-identical either way.
 	DisableRowIntern bool
+	// LongTyping makes every session a long-lived shell typist: Keystrokes
+	// (default 10⁴, not capped) at TypeInterval (default 20 ms), pressing
+	// Enter every longTypingLine keys. It keeps the session-age defect
+	// class visible: per-keystroke cost that grows with how many events a
+	// session has seen. The run reports heap allocations per keystroke in
+	// an early and a late window of longTypingWindow keystrokes each.
+	// Echo-latency sampling is off (the prompt row scrolls away).
+	LongTyping bool
 }
+
+const (
+	// longTypingLine is the LongTyping cohort's line length (Enter on
+	// every 50th key), so the early and late windows hold equal numbers of
+	// command lines.
+	longTypingLine = 50
+	// longTypingWindow is the size of the early and late measurement
+	// windows, in keystrokes per session; the early one starts at age
+	// longTypingWindow.
+	longTypingWindow = 100
+)
 
 // ManySessionResult aggregates the run.
 type ManySessionResult struct {
 	Sessions   int
 	Keystrokes int // per session
-	// Shells/Editors/Pagers/Bulk are the cohort sizes (Sessions/0/0/0 for
-	// the uniform run; 0/0/0/Sessions for the Trains run).
-	Shells, Editors, Pagers, Bulk int
+	// Shells/Editors/Pagers/Bulk/Long are the cohort sizes (Sessions for
+	// Shells in the uniform run, for Bulk in the Trains run and for Long
+	// in the LongTyping run).
+	Shells, Editors, Pagers, Bulk, Long int
 	// PagerScrollbackMin is the shallowest client-side history across the
 	// pager cohort at the end of the run — proof the cohort actually
 	// exercised deep scrollback (0 when the cohort is empty).
@@ -214,6 +235,12 @@ type ManySessionResult struct {
 	StageStats                []StageStat
 	ClientLe16ms, ClientLeRTT float64
 	FlightDump                []byte
+	// AllocsPerKeyEarly/Late (LongTyping) are process-wide heap
+	// allocations per keystroke over keystrokes longTypingWindow to
+	// 2·longTypingWindow of every session and over its last
+	// longTypingWindow keystrokes: equal when per-keystroke cost does not
+	// depend on session age.
+	AllocsPerKeyEarly, AllocsPerKeyLate float64
 }
 
 // EchoCohortStats summarizes one cohort's server-side keystroke→echo
@@ -255,10 +282,18 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			opt.TypeInterval = 3 * time.Minute
 		}
 	}
+	if opt.LongTyping {
+		if opt.Keystrokes <= 0 {
+			opt.Keystrokes = 10000
+		}
+		if opt.TypeInterval <= 0 {
+			opt.TypeInterval = 20 * time.Millisecond
+		}
+	}
 	if opt.Keystrokes <= 0 {
 		opt.Keystrokes = 20
 	}
-	if opt.Keystrokes > 60 {
+	if opt.Keystrokes > 60 && !opt.LongTyping {
 		opt.Keystrokes = 60
 	}
 	if opt.TypeInterval <= 0 {
@@ -288,10 +323,15 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		cohortEditor
 		cohortPager
 		cohortBulk
+		cohortLong
+		numCohorts
 	)
 	cohortOf := func(i int) int {
 		if opt.Trains {
 			return cohortBulk
+		}
+		if opt.LongTyping {
+			return cohortLong
 		}
 		if !opt.Mixed {
 			return cohortShell
@@ -331,12 +371,13 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	// the daemon's echo matcher (OnEcho fires under the session lock, and
 	// the simulation is single-threaded on the scheduler).
 	pipe := telemetry.NewPipeline()
-	cohortNames := [4]string{cohortShell: "shell", cohortEditor: "cjk-editor", cohortPager: "log-tail", cohortBulk: "bulk-stream"}
+	cohortNames := [numCohorts]string{cohortShell: "shell", cohortEditor: "cjk-editor", cohortPager: "log-tail",
+		cohortBulk: "bulk-stream", cohortLong: "long-typing"}
 	type echoAgg struct {
 		hist           *telemetry.Hist
 		n, le16, leRTT int64
 	}
-	var echoAggs [4]echoAgg
+	var echoAggs [numCohorts]echoAgg
 	for i := range echoAggs {
 		echoAggs[i].hist = telemetry.NewHist(6)
 	}
@@ -544,6 +585,8 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			res.Pagers++
 		case cohortBulk:
 			res.Bulk++
+		case cohortLong:
+			res.Long++
 		default:
 			res.Shells++
 		}
@@ -670,6 +713,9 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			if lc.cohort == cohortPager {
 				ch = ' ' // hold the pager on space
 			}
+			if lc.cohort == cohortLong && (lc.typed+1)%longTypingLine == 0 {
+				ch = '\r'
+			}
 			if lc.cohort == cohortShell {
 				lc.pending = append(lc.pending, pendingKey{
 					col:  shellPromptLen + lc.typed,
@@ -686,6 +732,23 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	}
 
 	typing := opt.TypeInterval * time.Duration(opt.Keystrokes)
+	if opt.LongTyping && opt.Keystrokes >= 3*longTypingWindow {
+		// Heap allocations per keystroke over an early and a late window.
+		// Keystroke k of every session falls in [k, k+1) intervals after
+		// start, so each window holds longTypingWindow of each session's
+		// keystrokes plus the round trips in flight at its edges.
+		var ms runtime.MemStats
+		mallocs := func() uint64 { runtime.ReadMemStats(&ms); return ms.Mallocs }
+		window := func(from int, dst *float64) {
+			var m0 uint64
+			sched.At(start.Add(opt.TypeInterval*time.Duration(from)), func() { m0 = mallocs() })
+			sched.At(start.Add(opt.TypeInterval*time.Duration(from+longTypingWindow)), func() {
+				*dst = float64(mallocs()-m0) / float64(longTypingWindow*opt.Sessions)
+			})
+		}
+		window(longTypingWindow, &res.AllocsPerKeyEarly)
+		window(opt.Keystrokes-longTypingWindow, &res.AllocsPerKeyLate)
+	}
 	const outage = 300 * time.Millisecond
 	killAt := start.Add(typing / 2)
 
@@ -876,6 +939,11 @@ func FormatManySession(r ManySessionResult) string {
 	if r.Bulk > 0 {
 		fmt.Fprintf(&b, "many-session load: %d bulk-stream sessions × %d keystrokes (lockstep egress trains) over one daemon socket\n",
 			r.Bulk, r.Keystrokes)
+	} else if r.Long > 0 {
+		fmt.Fprintf(&b, "many-session load: %d long-typing sessions × %d keystrokes over one daemon socket\n",
+			r.Long, r.Keystrokes)
+		fmt.Fprintf(&b, "  session age: %.1f heap allocs/keystroke early (keys %d-%d), %.1f late (last %d)\n",
+			r.AllocsPerKeyEarly, longTypingWindow, 2*longTypingWindow-1, r.AllocsPerKeyLate, longTypingWindow)
 	} else if r.Editors > 0 || r.Pagers > 0 {
 		fmt.Fprintf(&b, "many-session load: %d sessions (%d shell / %d cjk-editor / %d log-tail) × %d keystrokes over one daemon socket\n",
 			r.Sessions, r.Shells, r.Editors, r.Pagers, r.Keystrokes)

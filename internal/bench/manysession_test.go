@@ -245,6 +245,36 @@ func BenchmarkManySession(b *testing.B) {
 	}
 }
 
+// BenchmarkManySessionLongTyping keeps the session-age defect class in the
+// per-commit perf artifact: four sessions each type 10⁴ keystrokes through
+// one daemon, and the heap allocations per keystroke early and late in
+// the run are reported side by side. A receive path whose cost grows with
+// session age shows up as allocs_per_key_late far above
+// allocs_per_key_early.
+func BenchmarkManySessionLongTyping(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		res := RunManySession(ManySessionOptions{Sessions: 4, LongTyping: true, Seed: int64(i + 1)})
+		b.ReportMetric(res.AllocsPerKeyEarly, "allocs_per_key_early")
+		b.ReportMetric(res.AllocsPerKeyLate, "allocs_per_key_late")
+		b.ReportMetric(res.AllocsPerKeyLate/res.AllocsPerKeyEarly, "allocs_per_key_late_over_early")
+	}
+}
+
+// TestManySessionLongTypingAllocsFlat runs a shortened long-typing cohort
+// through the daemon and checks that a keystroke costs about as many
+// allocations after 1,200 keystrokes as after 100.
+func TestManySessionLongTypingAllocsFlat(t *testing.T) {
+	res := RunManySession(ManySessionOptions{Sessions: 2, LongTyping: true, Keystrokes: 1200, Seed: 5})
+	t.Logf("allocs/keystroke: early %.1f, late %.1f", res.AllocsPerKeyEarly, res.AllocsPerKeyLate)
+	if res.Long != 2 || res.AllocsPerKeyEarly <= 0 {
+		t.Fatalf("long-typing cohort did not run: %+v", res.Long)
+	}
+	if res.AllocsPerKeyLate > 1.5*res.AllocsPerKeyEarly {
+		t.Fatalf("allocs per keystroke grew from %.1f to %.1f over 1,100 keystrokes",
+			res.AllocsPerKeyEarly, res.AllocsPerKeyLate)
+	}
+}
+
 // TestManySessionGSOTrains1000 is the segmentation-offload acceptance gate
 // at scale: 1000 sessions viewing one shared bulk stream type in lockstep,
 // so every reply leaves the daemon as a same-peer train of MTU-sized

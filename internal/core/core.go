@@ -199,6 +199,9 @@ func (s *Server) Receive(wire []byte, src netem.Addr) error {
 		}
 	}
 	s.processedEvents = stream.Size()
+	// Everything every retained state shares is now delivered; dropping
+	// it keeps the per-keystroke receive cost independent of session age.
+	s.tr.SubtractDelivered()
 	s.echoQueue = append(s.echoQueue, echoEntry{num: s.tr.RemoteStateNum(), at: now})
 	s.Tick()
 	return nil

@@ -185,6 +185,9 @@ type Connection struct {
 	// ptBuf is scratch for assembling the timestamped plaintext; it is
 	// consumed by sealing before NewPacket returns, so reuse is safe.
 	ptBuf []byte
+	// openBuf receives each opened datagram's plaintext; Receive's result
+	// aliases it until the next Receive.
+	openBuf []byte
 }
 
 // NewConnection builds a datagram-layer endpoint.
@@ -317,7 +320,9 @@ func (c *Connection) AppendPacket(dst, payload []byte) ([]byte, error) {
 // returning the transport payload. Stale and replayed packets return
 // ErrOldPacket; packets sealed by our own direction return ErrOwnDirection.
 // On the server, an authentic packet with the newest sequence number makes
-// src the new reply target, implementing roaming.
+// src the new reply target, implementing roaming. The payload is opened
+// into a buffer the connection reuses: it is valid only until the next
+// call to Receive, and callers that keep any of it must copy.
 func (c *Connection) Receive(wire []byte, src netem.Addr) ([]byte, error) {
 	if c.cfg.Envelope != nil {
 		id, inner, err := ParseEnvelope(wire)
@@ -334,7 +339,10 @@ func (c *Connection) Receive(wire []byte, src netem.Addr) ([]byte, error) {
 	if pr != nil {
 		verifyStart = c.cfg.Clock.Now()
 	}
-	dir, seq, pt, err := c.session.Decrypt(wire)
+	dir, seq, pt, err := c.session.OpenAppend(c.openBuf[:0], wire)
+	if pt != nil {
+		c.openBuf = pt
+	}
 	if pr != nil {
 		// Failed opens are measured too: verification cost is paid either
 		// way, and a flood of failures should be visible in this stage.

@@ -162,6 +162,13 @@ func (s *Session) SealAppend(dst []byte, dir Direction, seq uint64, plaintext []
 // Decrypt opens a wire packet, returning its direction, sequence number
 // and plaintext. Inauthentic packets yield ErrAuth and no plaintext.
 func (s *Session) Decrypt(packet []byte) (Direction, uint64, []byte, error) {
+	return s.OpenAppend(nil, packet)
+}
+
+// OpenAppend is Decrypt appending the plaintext to dst, so a receiver that
+// owns one buffer per connection (network.Connection) opens every datagram
+// without an allocation once the buffer has grown to the path's MTU.
+func (s *Session) OpenAppend(dst, packet []byte) (Direction, uint64, []byte, error) {
 	if len(packet) < 8+s.aead.Overhead() {
 		return 0, 0, nil, ErrTooShort
 	}
@@ -170,7 +177,7 @@ func (s *Session) Decrypt(packet []byte) (Direction, uint64, []byte, error) {
 	if header&directionBit != 0 {
 		dir = ToClient
 	}
-	pt, err := s.aead.Open(nil, s.nonceFor(header), packet[8:], packet[:8])
+	pt, err := s.aead.Open(dst, s.nonceFor(header), packet[8:], packet[:8])
 	if err != nil {
 		return 0, 0, nil, ErrAuth
 	}

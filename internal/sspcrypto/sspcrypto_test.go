@@ -164,3 +164,24 @@ func BenchmarkEncryptDatagram(b *testing.B) {
 		}
 	}
 }
+
+// TestOpenAppendAllocFree guards the receive side's decrypt: opening into
+// a caller-owned buffer that has grown to the datagram size allocates
+// nothing, mirroring SealAppend on the send side.
+func TestOpenAppendAllocFree(t *testing.T) {
+	s := testSession(t)
+	pkt, err := s.Encrypt(ToServer, 7, bytes.Repeat([]byte("k"), 1200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 1500)
+	allocs := testing.AllocsPerRun(200, func() {
+		_, _, pt, err := s.OpenAppend(buf[:0], pkt)
+		if err != nil || len(pt) != 1200 {
+			t.Fatalf("open: %d bytes, %v", len(pt), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("OpenAppend allocates %.1f times per datagram, want 0", allocs)
+	}
+}

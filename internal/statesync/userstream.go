@@ -30,12 +30,6 @@ type Event struct {
 	W, H int    // EventResize
 }
 
-func (e Event) clone() Event {
-	ne := e
-	ne.Data = append([]byte(nil), e.Data...)
-	return ne
-}
-
 func (e Event) equal(o Event) bool {
 	if e.Type != o.Type || e.W != o.W || e.H != o.H || len(e.Data) != len(o.Data) {
 		return false
@@ -51,10 +45,27 @@ func (e Event) equal(o Event) bool {
 // UserStream is the client→server SSP object: an append-only event log.
 // Acknowledged prefixes are garbage-collected by Subtract; base tracks how
 // many events have been subtracted so global indices stay stable.
+//
+// An event's Data is immutable once appended (PushBytes and Apply copy
+// their input), so clones share it: Clone copies only the event slice.
 type UserStream struct {
 	base   uint64
 	events []Event
+	// pool is the free list shared by this stream and every clone derived
+	// from it (lazily created on first Clone), as for Complete: the
+	// transport recycles retired snapshots and Clone reuses their event
+	// slices. Single-owner, like the rest of the state machinery.
+	pool *streamPool
 }
+
+// streamPool recycles retired UserStream snapshots within one session.
+type streamPool struct {
+	free []*UserStream
+}
+
+// maxPooledStreams bounds the free list; the receiver retires about one
+// snapshot per state it reconstructs.
+const maxPooledStreams = 4
 
 // NewUserStream returns an empty stream.
 func NewUserStream() *UserStream { return &UserStream{} }
@@ -92,13 +103,36 @@ func (u *UserStream) EventsSince(from uint64) []Event {
 	return u.events[idx:]
 }
 
-// Clone implements transport.State.
+// Clone implements transport.State. Event data is shared, not copied
+// (see UserStream), and a recycled snapshot's slice is reused when one is
+// available, so a clone costs O(retained events) and, in steady state, no
+// allocations.
 func (u *UserStream) Clone() *UserStream {
-	n := &UserStream{base: u.base, events: make([]Event, len(u.events))}
-	for i := range u.events {
-		n.events[i] = u.events[i].clone()
+	if u.pool == nil {
+		u.pool = &streamPool{}
 	}
+	var n *UserStream
+	if k := len(u.pool.free); k > 0 {
+		n = u.pool.free[k-1]
+		u.pool.free[k-1] = nil
+		u.pool.free = u.pool.free[:k-1]
+	} else {
+		n = &UserStream{pool: u.pool}
+	}
+	n.base = u.base
+	n.events = append(n.events[:0], u.events...)
 	return n
+}
+
+// Recycle implements transport.Recycler: retired snapshots hand their
+// event slice back to Clone.
+func (u *UserStream) Recycle() {
+	if u.pool == nil || len(u.pool.free) >= maxPooledStreams {
+		return
+	}
+	clear(u.events)
+	u.events = u.events[:0]
+	u.pool.free = append(u.pool.free, u)
 }
 
 // Equal implements transport.State.
@@ -261,7 +295,10 @@ func (u *UserStream) applyEvents(start uint64, diff []byte) error {
 }
 
 // Subtract implements transport.State: drops the shared prefix with other,
-// advancing base so global indices remain stable.
+// advancing base so global indices remain stable. It reads only
+// other.Size(), and leaves u.Size() unchanged, so other may be u itself or
+// a state subtracted before or after it. The remaining events move down in
+// place: no two streams share an event slice.
 func (u *UserStream) Subtract(other *UserStream) {
 	if other.Size() <= u.base {
 		return
@@ -270,6 +307,8 @@ func (u *UserStream) Subtract(other *UserStream) {
 	if drop > uint64(len(u.events)) {
 		drop = uint64(len(u.events))
 	}
-	u.events = append([]Event(nil), u.events[drop:]...)
+	n := copy(u.events, u.events[drop:])
+	clear(u.events[n:])
+	u.events = u.events[:n]
 	u.base += drop
 }

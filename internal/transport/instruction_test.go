@@ -16,8 +16,8 @@ func TestInstructionRoundTrip(t *testing.T) {
 		ThrowawayNum:    2,
 		Diff:            []byte("diff-bytes"),
 	}
-	out, err := unmarshalInstruction(in.marshal())
-	if err != nil {
+	var out Instruction
+	if err := out.unmarshal(in.marshal()); err != nil {
 		t.Fatal(err)
 	}
 	if out.OldNum != 3 || out.NewNum != 9 || out.AckNum != 17 || out.ThrowawayNum != 2 ||
@@ -29,8 +29,8 @@ func TestInstructionRoundTrip(t *testing.T) {
 func TestInstructionRoundTripProperty(t *testing.T) {
 	f := func(oldN, newN, ack, throw uint64, diff []byte) bool {
 		in := &Instruction{ProtocolVersion: protocolVersion, OldNum: oldN, NewNum: newN, AckNum: ack, ThrowawayNum: throw, Diff: diff}
-		out, err := unmarshalInstruction(in.marshal())
-		if err != nil {
+		var out Instruction
+		if err := out.unmarshal(in.marshal()); err != nil {
 			return false
 		}
 		return out.OldNum == oldN && out.NewNum == newN && out.AckNum == ack &&
@@ -43,16 +43,16 @@ func TestInstructionRoundTripProperty(t *testing.T) {
 
 func TestInstructionBadVersion(t *testing.T) {
 	in := &Instruction{ProtocolVersion: 99}
-	if _, err := unmarshalInstruction(in.marshal()); err == nil {
+	if err := new(Instruction).unmarshal(in.marshal()); err == nil {
 		t.Fatal("accepted wrong protocol version")
 	}
 }
 
 func TestInstructionTruncated(t *testing.T) {
-	if _, err := unmarshalInstruction([]byte{protocolVersion, 1}); err == nil {
+	if err := new(Instruction).unmarshal([]byte{protocolVersion, 1}); err == nil {
 		t.Fatal("accepted truncated instruction")
 	}
-	if _, err := unmarshalInstruction(nil); err == nil {
+	if err := new(Instruction).unmarshal(nil); err == nil {
 		t.Fatal("accepted empty instruction")
 	}
 }

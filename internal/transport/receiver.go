@@ -76,6 +76,10 @@ func (r *Receiver[T]) LatestNum() uint64 { return r.states[len(r.states)-1].num 
 // StateCount reports retained history length (for tests).
 func (r *Receiver[T]) StateCount() int { return len(r.states) }
 
+// State returns the i-th retained state, oldest first (for tests; the
+// read-only, do-not-retain rule of Latest applies).
+func (r *Receiver[T]) State(i int) T { return r.states[i].state }
+
 // processInstruction applies one instruction. It returns true when a new
 // remote state was created (which the caller must acknowledge). Unknown
 // diff sources are not an error — the instruction is simply unusable and
@@ -83,10 +87,17 @@ func (r *Receiver[T]) StateCount() int { return len(r.states) }
 func (r *Receiver[T]) processInstruction(inst *Instruction) (bool, error) {
 	// Retire history the sender promises never to reference again, but
 	// always keep the newest state. Retired snapshots are recycled: their
-	// storage feeds the next reconstruction's Clone.
-	for len(r.states) > 1 && r.states[0].num < inst.ThrowawayNum {
-		recycle(r.states[0].state)
-		r.states = r.states[1:]
+	// storage feeds the next reconstruction's Clone. The survivors move
+	// down in place, so the history slice is not reallocated per state.
+	retired := 0
+	for retired < len(r.states)-1 && r.states[retired].num < inst.ThrowawayNum {
+		recycle(r.states[retired].state)
+		retired++
+	}
+	if retired > 0 {
+		n := copy(r.states, r.states[retired:])
+		clear(r.states[n:])
+		r.states = r.states[:n]
 	}
 
 	if inst.NewNum <= r.LatestNum() {
@@ -153,6 +164,21 @@ func (r *Receiver[T]) applyUnknownBase(inst *Instruction) (bool, error) {
 	}
 	r.addState(inst.NewNum, ns)
 	return true, nil
+}
+
+// subtractOldest garbage-collects the history every retained state shares
+// by subtracting the oldest retained state from each of them, newest first
+// and the oldest from itself last (State.Subtract's contract; the
+// reference implementation does the same in get_remote_diff). A state's
+// diff and apply behaviour do not change, so this is safe at any time;
+// the caller invokes it once it has consumed everything new in Latest(),
+// because for the user stream the shared prefix is then already
+// delivered. The pristine state-0 fallback is never subtracted.
+func (r *Receiver[T]) subtractOldest() {
+	oldest := r.states[0].state
+	for i := len(r.states) - 1; i >= 0; i-- {
+		r.states[i].state.Subtract(oldest)
+	}
 }
 
 // addState records a newly reconstructed state, enforcing the history cap.

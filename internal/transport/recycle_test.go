@@ -35,9 +35,10 @@ func (s *recycleState) Recycle() {
 }
 
 // TestSenderRecyclesRetiredSnapshots proves the snapshot-retention
-// contract: every state the sender drops — acknowledged baselines, culled
-// history entries, and the scratch clone acknowledgment processing makes —
-// is recycled exactly once, and states still in the history never are.
+// contract: every state the sender drops — acknowledged baselines and
+// culled history entries — is recycled exactly once, and states still in
+// the history never are. Acknowledgment processing subtracts the new
+// baseline in place, with no scratch clone to recycle.
 func TestSenderRecyclesRetiredSnapshots(t *testing.T) {
 	clk := simclock.NewManual(t0)
 	recycled := 0
@@ -54,11 +55,10 @@ func TestSenderRecyclesRetiredSnapshots(t *testing.T) {
 		t.Fatalf("history = %d states, want 6", got)
 	}
 
-	// Ack through state 3: states 0,1,2 retire, plus the Subtract scratch
-	// clone — four recycles.
+	// Ack through state 3: states 0,1,2 retire — three recycles.
 	s.processAcknowledgmentThrough(3)
-	if recycled != 4 {
-		t.Fatalf("recycled %d snapshots after ack, want 4 (3 retired + scratch)", recycled)
+	if recycled != 3 {
+		t.Fatalf("recycled %d snapshots after ack, want 3 retired", recycled)
 	}
 	if got := s.SentStateCount(); got != 3 {
 		t.Fatalf("history = %d states after ack, want 3", got)

@@ -282,12 +282,13 @@ func (s *Sender[T]) processAcknowledgmentThrough(ack uint64) {
 		recycle(s.sentStates[i].state)
 	}
 	s.sentStates = s.sentStates[idx:]
-	base := s.front().state.Clone()
+	// No scratch copy of the new baseline: the front subtracts itself
+	// last (see State.Subtract).
+	base := s.front().state
 	s.currentState.Subtract(base)
-	for i := range s.sentStates {
+	for i := len(s.sentStates) - 1; i >= 0; i-- {
 		s.sentStates[i].state.Subtract(base)
 	}
-	recycle(base)
 }
 
 // calculateTimers recomputes the ack and send deadlines from the current

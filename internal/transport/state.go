@@ -50,22 +50,28 @@ type State[T any] interface {
 	// Apply mutates the state by applying a diff produced by DiffFrom.
 	Apply(diff []byte) error
 
-	// Subtract removes the shared prefix with other. It exists so the
-	// sender can garbage-collect history common to all outstanding
-	// states (meaningful for append-only objects like the user-input
-	// stream; screen states implement it as a no-op).
+	// Subtract removes the shared prefix with other. It exists so both
+	// ends can garbage-collect history common to all retained states
+	// (meaningful for append-only objects like the user-input stream;
+	// screen states implement it as a no-op). Subtract must not change
+	// how the state diffs or applies, and other may be the receiver
+	// itself: the transport subtracts its oldest retained state from
+	// every retained state with no scratch copy, newest first and the
+	// oldest from itself last, as the reference implementation does.
+	// UserStream.Subtract reads only other.Size(), which Subtract leaves
+	// unchanged, so for it the order does not matter.
 	Subtract(other T)
 }
 
-// Recycler is an optional State capability: the sender calls Recycle on a
-// retained snapshot it is dropping for good (an acknowledged baseline, a
-// culled history entry), and on the scratch clones it creates during
-// acknowledgment processing. An implementation may feed the object's
-// storage back to its Clone path — statesync.Complete reuses the whole
-// framebuffer shell, which is what makes the sender's steady-state
-// snapshot allocation-free. Implementations must tolerate Recycle being
-// the last call ever made on the object; the transport never touches a
-// state after recycling it.
+// Recycler is an optional State capability: the transport calls Recycle
+// on a retained snapshot it is dropping for good (an acknowledged or
+// retired baseline, a culled history entry, a reconstruction whose diff
+// failed to apply). An implementation may feed the object's storage back
+// to its Clone path — statesync.Complete reuses the whole framebuffer
+// shell and statesync.UserStream its event slice, which is what makes
+// the steady-state snapshot churn allocation-free on both ends.
+// Implementations must tolerate Recycle being the last call ever made on
+// the object; the transport never touches a state after recycling it.
 type Recycler interface {
 	Recycle()
 }

@@ -160,6 +160,9 @@ func (t *Transport[L, R]) Connection() *network.Connection { return t.conn }
 // Sender exposes the outbound half.
 func (t *Transport[L, R]) Sender() *Sender[L] { return t.sender }
 
+// Receiver exposes the inbound half.
+func (t *Transport[L, R]) Receiver() *Receiver[R] { return t.receiver }
+
 // CurrentState returns the live local object.
 func (t *Transport[L, R]) CurrentState() L { return t.sender.currentState }
 
@@ -168,6 +171,13 @@ func (t *Transport[L, R]) CurrentState() L { return t.sender.currentState }
 // recycles retired history, so a stale reference may observe its storage
 // being reused (Clone before retaining).
 func (t *Transport[L, R]) RemoteState() R { return t.receiver.Latest() }
+
+// SubtractDelivered drops the remote history every retained received
+// state shares (see Receiver.subtractOldest). Call it after consuming what
+// is new in RemoteState(): it keeps an append-only remote object's
+// per-datagram reconstruction cost independent of session age. State
+// sizes and diff indices are unchanged.
+func (t *Transport[L, R]) SubtractDelivered() { t.receiver.subtractOldest() }
 
 // RemoteStateNum returns the newest remote state number.
 func (t *Transport[L, R]) RemoteStateNum() uint64 { return t.receiver.LatestNum() }
@@ -234,7 +244,7 @@ func (t *Transport[L, R]) FragmentsHeld() int {
 	if !t.assembly.active {
 		return 0
 	}
-	return len(t.assembly.fragments)
+	return t.assembly.held
 }
 
 // WaitTime reports how long the event loop may sleep before the next Tick
